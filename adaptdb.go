@@ -29,12 +29,11 @@ import (
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
-	"adaptdb/internal/exec"
 	"adaptdb/internal/optimizer"
-	"adaptdb/internal/planner"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/query"
 	"adaptdb/internal/schema"
+	"adaptdb/internal/session"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -161,7 +160,7 @@ type DB struct {
 	opts   Options
 	store  *dfs.Store
 	model  cluster.CostModel
-	opt    *optimizer.Optimizer
+	sess   *session.Session // centralized: adapt → compile → drain per query
 	tables map[string]*core.Table
 	total  cluster.Counters
 }
@@ -171,15 +170,20 @@ func Open(opts Options) *DB {
 	opts = opts.withDefaults()
 	model := cluster.Default()
 	model.Nodes = opts.Nodes
+	store := dfs.NewStore(opts.Nodes, opts.Replication, opts.Seed)
 	return &DB{
 		opts:  opts,
-		store: dfs.NewStore(opts.Nodes, opts.Replication, opts.Seed),
+		store: store,
 		model: model,
-		opt: optimizer.New(optimizer.Config{
-			Mode:         opts.Mode,
-			WindowSize:   opts.WindowSize,
-			EnableAmoeba: opts.EnableSelectionAdaptation,
-			Seed:         opts.Seed,
+		sess: session.New(store, session.Config{
+			Model: model,
+			Optimizer: optimizer.Config{
+				Mode:         opts.Mode,
+				WindowSize:   opts.WindowSize,
+				EnableAmoeba: opts.EnableSelectionAdaptation,
+				Seed:         opts.Seed,
+			},
+			BudgetBlocks: opts.BudgetBlocks,
 		}),
 		tables: make(map[string]*core.Table),
 	}
@@ -415,51 +419,41 @@ type Result struct {
 	Stats Stats
 }
 
-// Run executes the query: the spec binds against the catalog, the
-// optimizer adapts partitioning per the query window (touch
-// descriptors derived from the join graph — never hand-maintained),
-// then the planner greedily orders the join graph and picks join
-// strategies per the cost model, and the executor runs them.
+// Run executes the query as the next query of the database's session
+// stream: the spec binds against the catalog, the optimizer adapts
+// partitioning per the query window (touch descriptors derived from
+// the join graph — never hand-maintained), then the planner greedily
+// orders the join graph and picks join strategies per the cost model,
+// and the executor runs them.
 func (qb *QueryBuilder) Run() (*Result, error) {
 	if qb.err != nil {
 		return nil, qb.err
 	}
 	db := qb.db
-	meter := &cluster.Meter{}
-
 	spec, err := qb.buildSpec()
 	if err != nil {
 		return nil, err
 	}
-	bound, err := spec.Bind(query.Catalog(db.tables))
+	q, err := session.FromSpec(query.Catalog(db.tables), spec)
 	if err != nil {
 		return nil, err
 	}
-
-	// Optimizer step: record usage and repartition.
-	rep, err := db.opt.OnQuery(bound.Uses(), meter)
+	res, err := db.sess.Execute(q)
 	if err != nil {
 		return nil, err
 	}
-
-	runner := planner.NewRunner(exec.New(db.store, meter), db.model)
-	runner.BudgetBlocks = db.opts.BudgetBlocks
-	rows, prep, err := runner.RunSpec(bound)
-	if err != nil {
-		return nil, err
-	}
-	c := meter.Snapshot()
+	c := res.Counters
 	db.total = mergeCounters(db.total, c)
 	st := Stats{
-		SimSeconds:        c.SimSeconds(db.model),
+		SimSeconds:        res.SimSeconds,
 		BlocksScanned:     c.BlocksScanned,
 		ProbeBlocks:       c.ProbeBlocks,
-		RepartitionedRows: rep.MovedRows,
+		RepartitionedRows: res.Adapt.MovedRows,
 	}
-	for _, j := range prep.Joins {
+	for _, j := range res.Report.Joins {
 		st.Strategies = append(st.Strategies, j.Strategy)
 	}
-	return &Result{Rows: rows, Stats: st}, nil
+	return &Result{Rows: res.Rows, Stats: st}, nil
 }
 
 // resolveLeft finds which previously referenced table owns leftCol,

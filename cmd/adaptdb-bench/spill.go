@@ -290,59 +290,15 @@ func runSpillSweepAt(cfg experiments.Config, ds *tpch.Dataset, nodes int, buildB
 	return report, nil
 }
 
-// fnv-1a constants for the streaming row digest.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// checksumDrain pulls an operator to exhaustion, folding every row's
-// binary encoding into an order-independent (commutative-sum) FNV
-// digest — result identity across nondeterministically ordered parallel
-// runs, with nothing materialized. Columnar batches are walked through
-// the vector encoder (byte-identical to the row encoding, see
-// Columns.AppendRowBinary) so draining them never boxes a value.
+// checksumDrain pulls an operator to exhaustion through the
+// order-independent result digest (exec.Digest) — result identity
+// across nondeterministically ordered parallel runs, with nothing
+// materialized and no columnar value boxed.
 func checksumDrain(op exec.Operator) (int, string, error) {
-	if err := op.Open(); err != nil {
-		return 0, "", err
+	var d exec.Digest
+	n, err := exec.Drain(nil, op, d.Add)
+	if err != nil {
+		return n, "", err
 	}
-	defer op.Close()
-	var sum uint64
-	var enc []byte
-	n := 0
-	fold := func(b []byte) {
-		h := uint64(fnvOffset64)
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= fnvPrime64
-		}
-		sum += h // commutative: batch order cannot matter
-	}
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return n, "", err
-		}
-		if b == nil {
-			return n, fmt.Sprintf("%016x", sum), nil
-		}
-		if cb := b.Cols(); cb != nil {
-			sel := cb.Sel()
-			for k := 0; k < cb.Len(); k++ {
-				i := k
-				if sel != nil {
-					i = int(sel[k])
-				}
-				enc = cb.AppendRowBinary(enc[:0], i)
-				fold(enc)
-			}
-		} else {
-			for _, r := range b.Rows() {
-				enc = r.AppendBinary(enc[:0])
-				fold(enc)
-			}
-		}
-		n += b.Len()
-		b.Release()
-	}
+	return n, fmt.Sprintf("%016x", d.Sum), nil
 }

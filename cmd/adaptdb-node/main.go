@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"os"
 	"strconv"
@@ -23,12 +22,12 @@ import (
 	"time"
 
 	"adaptdb/internal/cluster"
+	"adaptdb/internal/exec"
 	adbnet "adaptdb/internal/net"
 	"adaptdb/internal/net/datasets"
 	"adaptdb/internal/optimizer"
 	"adaptdb/internal/session"
 	"adaptdb/internal/tpch"
-	"adaptdb/internal/tuple"
 )
 
 type killReport struct {
@@ -113,20 +112,6 @@ func schedule(n int) []tpch.Template {
 	return out
 }
 
-// rowsChecksum is the order-independent result digest used across the
-// serve and net layers: the sum of per-row 64-bit FNV-1a hashes.
-func rowsChecksum(rows []tuple.Tuple) uint64 {
-	var sum uint64
-	var scratch []byte
-	for _, r := range rows {
-		scratch = r.AppendBinary(scratch[:0])
-		h := fnv.New64a()
-		h.Write(scratch)
-		sum += h.Sum64()
-	}
-	return sum
-}
-
 func run(sf float64, rpb int, nodeCounts []int, queries int, seed int64, kill, inProcess, jsonOut bool, outPath string) error {
 	sched := schedule(queries)
 	rep := report{SF: sf, RowsPerBlock: rpb, Seed: seed, Queries: len(sched), InProcess: inProcess, AllMatch: true}
@@ -204,7 +189,7 @@ func runNodes(sf float64, rpb, nodes int, sched []tpch.Template, seed int64, kil
 		if err != nil {
 			return nr, fmt.Errorf("sim q%d (%s): %w", qi, tpl, err)
 		}
-		want = append(want, rowsChecksum(res.Rows))
+		want = append(want, exec.DigestRows(res.Rows))
 		nr.ResultRows += res.RowCount
 	}
 	nr.SimWallMs = time.Since(start).Milliseconds()
@@ -257,7 +242,7 @@ func runNodes(sf float64, rpb, nodes int, sched []tpch.Template, seed int64, kil
 		if err != nil {
 			return nr, fmt.Errorf("tcp q%d (%s): %w", qi, tpl, err)
 		}
-		if got := rowsChecksum(res.Rows); got != want[qi] {
+		if got := exec.DigestRows(res.Rows); got != want[qi] {
 			nr.ChecksumMatch = false
 			nr.Mismatches++
 			fmt.Fprintf(os.Stderr, "checksum drift: nodes=%d q%d (%s): tcp %016x, sim %016x\n", nodes, qi, tpl, got, want[qi])

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"os"
 	"sync"
@@ -21,6 +20,7 @@ import (
 
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
+	"adaptdb/internal/exec"
 	adbnet "adaptdb/internal/net"
 	"adaptdb/internal/net/datasets"
 	"adaptdb/internal/optimizer"
@@ -28,7 +28,6 @@ import (
 	"adaptdb/internal/serve"
 	"adaptdb/internal/session"
 	"adaptdb/internal/tpch"
-	"adaptdb/internal/tuple"
 )
 
 // sessionSchedule mirrors cmd/adaptdb-bench: 24 orderkey-phase queries
@@ -133,17 +132,6 @@ func runTCP(sf float64, rpb, nodes, queries int, seed int64, jsonOut bool) error
 	optCfg := optimizer.Config{Mode: optimizer.ModeAdaptive, WindowSize: 5, Seed: seed}
 	params := datasets.TPCHParams{SF: sf, RowsPerBlock: rpb, Nodes: nodes, Seed: seed}
 
-	digest := func(rows []tuple.Tuple) uint64 {
-		var sum uint64
-		var scratch []byte
-		for _, r := range rows {
-			scratch = r.AppendBinary(scratch[:0])
-			h := fnv.New64a()
-			h.Write(scratch)
-			sum += h.Sum64()
-		}
-		return sum
-	}
 	replay := func(s *session.Session, cat query.Catalog, data *tpch.Dataset) ([]uint64, error) {
 		rng := rand.New(rand.NewSource(seed))
 		out := make([]uint64, 0, len(sched))
@@ -156,7 +144,7 @@ func runTCP(sf float64, rpb, nodes, queries int, seed int64, jsonOut bool) error
 			if err != nil {
 				return nil, fmt.Errorf("q%d (%s): %w", qi, tpl, err)
 			}
-			out = append(out, digest(res.Rows))
+			out = append(out, exec.DigestRows(res.Rows))
 		}
 		return out, nil
 	}

@@ -119,10 +119,11 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 	}
 
 	run := func(svc *serve.Service, tbls *tpch.Tables, rng *rand.Rand, c, qi int) (QueryDigest, error) {
-		in := tpch.NewInstance(sched[qi], data, rng)
-		res, err := svc.Stream(context.Background(), fmt.Sprintf("c%d", c), session.Query{
-			Label: string(sched[qi]), Plan: in.Plan(tbls), Uses: in.Uses(tbls),
-		}, nil)
+		q, err := session.FromSpec(tbls.Catalog(), tpch.NewInstance(sched[qi], data, rng).Spec())
+		if err != nil {
+			return QueryDigest{}, fmt.Errorf("client %d query %d (%s): %w", c, qi, sched[qi], err)
+		}
+		res, err := svc.Stream(context.Background(), fmt.Sprintf("c%d", c), q, nil)
 		if err != nil {
 			return QueryDigest{}, fmt.Errorf("client %d query %d (%s): %w", c, qi, sched[qi], err)
 		}

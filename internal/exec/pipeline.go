@@ -14,6 +14,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -285,35 +286,69 @@ type Operator interface {
 	Close() error
 }
 
-// Collect drains an operator into a materialized row slice — the bridge
-// from the pipelined world back to the legacy slice APIs. Rows owned by
-// their batch (join outputs) are copied out through an arena before the
-// batch is released; view rows are referenced directly.
-func Collect(op Operator) ([]tuple.Tuple, error) {
+// Drain pulls op to exhaustion, passing each batch to sink (nil just
+// counts) and returning the row count. A batch is only valid during the
+// sink call; Drain releases it afterwards. ctx (nil for none) is
+// checked at every batch boundary: even when the operators have
+// already buffered the remaining output, so no worker observes ctx, a
+// cancelled query stops delivering and errors promptly with ctx.Err().
+func Drain(ctx context.Context, op Operator, sink func(*Batch) error) (int, error) {
 	if err := op.Open(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer op.Close()
-	var out []tuple.Tuple
-	var arena tuple.Arena
+	n := 0
 	for {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return n, err
+			}
+		}
 		b, err := op.Next()
 		if err != nil {
-			return out, err
+			return n, err
 		}
 		if b == nil {
-			return out, nil
+			return n, nil
 		}
-		rows := b.Rows()
-		if b.OwnsRows() {
-			for _, r := range rows {
-				out = append(out, arena.Concat(r, nil))
-			}
-		} else {
-			out = append(out, rows...)
+		n += b.Len()
+		if sink != nil {
+			err = sink(b)
 		}
 		b.Release()
+		if err != nil {
+			return n, err
+		}
 	}
+}
+
+// RowSink is a Drain sink that materializes the stream. Rows owned by
+// their batch (join outputs) are copied out through an arena before the
+// batch is released; view rows are referenced directly.
+type RowSink struct {
+	Rows  []tuple.Tuple
+	arena tuple.Arena
+}
+
+// Add appends b's rows.
+func (s *RowSink) Add(b *Batch) error {
+	rows := b.Rows()
+	if b.OwnsRows() {
+		for _, r := range rows {
+			s.Rows = append(s.Rows, s.arena.Concat(r, nil))
+		}
+	} else {
+		s.Rows = append(s.Rows, rows...)
+	}
+	return nil
+}
+
+// Collect drains an operator into a materialized row slice — the bridge
+// from the pipelined world back to the legacy slice APIs.
+func Collect(op Operator) ([]tuple.Tuple, error) {
+	var s RowSink
+	_, err := Drain(nil, op, s.Add)
+	return s.Rows, err
 }
 
 // MustCollect is Collect for callers with no error path — the legacy
@@ -332,24 +367,7 @@ func MustCollect(op Operator) []tuple.Tuple {
 // Count drains an operator and returns its row count without
 // materializing any output — what a pipelined consumer that aggregates
 // in place pays.
-func Count(op Operator) (int, error) {
-	if err := op.Open(); err != nil {
-		return 0, err
-	}
-	defer op.Close()
-	n := 0
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return n, err
-		}
-		if b == nil {
-			return n, nil
-		}
-		n += b.Len()
-		b.Release()
-	}
-}
+func Count(op Operator) (int, error) { return Drain(nil, op, nil) }
 
 // Source adapts an in-memory row slice into an Operator. Batches are
 // zero-copy views of the slice (see tuple.Views), so a Source costs no

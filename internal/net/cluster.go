@@ -172,6 +172,9 @@ func Start(opts Options) (*Cluster, error) {
 		Exec:        opts.Exec,
 		Window:      opts.Window,
 		KeepAliveMs: opts.KeepAlive.Milliseconds(),
+		// The coordinator's own deadline already runs; the worker's bound
+		// only has to keep a stuck mesh from holding it forever.
+		SetupTimeoutMs: opts.SetupTimeout.Milliseconds(),
 	}
 	c.mu.Lock()
 	conns := make([]*conn, 0, len(c.conns))

@@ -5,9 +5,9 @@ package net_test
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,29 +19,12 @@ import (
 	"adaptdb/internal/query"
 	"adaptdb/internal/session"
 	"adaptdb/internal/tpch"
-	"adaptdb/internal/tuple"
 )
 
 func TestMain(m *testing.M) {
 	datasets.Register()
 	adbnet.MaybeWorker() // re-exec'd worker processes never return from this
 	os.Exit(m.Run())
-}
-
-// rowsChecksum is the order-independent result digest (the serve-layer
-// convention): the sum of per-row 64-bit FNV-1a hashes. Gather arrival
-// order is nondeterministic on both fabrics, so digests must not
-// depend on it.
-func rowsChecksum(rows []tuple.Tuple) uint64 {
-	var sum uint64
-	var scratch []byte
-	for _, r := range rows {
-		scratch = r.AppendBinary(scratch[:0])
-		h := fnv.New64a()
-		h.Write(scratch)
-		sum += h.Sum64()
-	}
-	return sum
 }
 
 // shiftSchedule is a compressed §7.3 join-attribute shift: orderkey
@@ -131,7 +114,7 @@ func simDigests(t *testing.T, nodes int, schedule []tpch.Template) []uint64 {
 		if err != nil {
 			t.Fatalf("sim q%d (%s): %v", qi, tpl, err)
 		}
-		out = append(out, rowsChecksum(res.Rows))
+		out = append(out, exec.DigestRows(res.Rows))
 	}
 	return out
 }
@@ -156,7 +139,7 @@ func TestTCPSessionMatchesSim(t *testing.T) {
 				if err != nil {
 					t.Fatalf("tcp q%d (%s): %v", qi, tpl, err)
 				}
-				if got := rowsChecksum(res.Rows); got != want[qi] {
+				if got := exec.DigestRows(res.Rows); got != want[qi] {
 					t.Fatalf("q%d (%s): tcp checksum %016x != sim %016x (%d rows)", qi, tpl, got, want[qi], res.RowCount)
 				}
 			}
@@ -191,7 +174,7 @@ func TestTCPFailover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q%d (%s): %v", qi, tpl, err)
 		}
-		if got := rowsChecksum(res.Rows); got != want[qi] {
+		if got := exec.DigestRows(res.Rows); got != want[qi] {
 			t.Fatalf("q%d (%s): checksum %016x != sim %016x (%d rows)", qi, tpl, got, want[qi], res.RowCount)
 		}
 	}
@@ -222,7 +205,7 @@ func TestTCPRealProcesses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q%d (%s): %v", qi, tpl, err)
 		}
-		if got := rowsChecksum(res.Rows); got != want[qi] {
+		if got := exec.DigestRows(res.Rows); got != want[qi] {
 			t.Fatalf("q%d (%s): tcp checksum %016x != sim %016x", qi, tpl, got, want[qi])
 		}
 	}
@@ -313,7 +296,7 @@ func TestTCPFaultSweep(t *testing.T) {
 					t.Logf("q%d %s@%s: surfaced: %v", qi, kind, points[qi].msg, err)
 					continue
 				}
-				if got := rowsChecksum(res.Rows); got != want[qi] {
+				if got := exec.DigestRows(res.Rows); got != want[qi] {
 					t.Fatalf("q%d (%s): checksum %016x != sim %016x", qi, tpl, got, want[qi])
 				}
 				if used := s.Executor().Mem.Used(); used != 0 {
@@ -346,9 +329,71 @@ func TestTCPFewerWorkersThanFragments(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q%d (%s): %v", qi, tpl, err)
 		}
-		if got := rowsChecksum(res.Rows); got != want[qi] {
+		if got := exec.DigestRows(res.Rows); got != want[qi] {
 			t.Fatalf("q%d (%s): checksum %016x != sim %016x", qi, tpl, got, want[qi])
 		}
 	}
 	cl.Close() // before the deferred leak check (t.Cleanup runs after it)
+}
+
+// TestTCPReadyAwaitsMesh pins the mesh-ready contract: a worker
+// reports ready only once every peer has registered, including the
+// higher-numbered ones it accepts asynchronously. The seam holds each
+// accept-side registration; Start must not return while any is held,
+// and the very first query must then run on one attempt.
+func TestTCPReadyAwaitsMesh(t *testing.T) {
+	defer exec.VerifyNoLeaks(t)
+	const workers, nodes = 3, 3
+	var registered atomic.Int32
+	adbnet.SetMeshAcceptHook(func(int) {
+		time.Sleep(300 * time.Millisecond)
+		registered.Add(1)
+	})
+	defer adbnet.SetMeshAcceptHook(nil)
+	want := simDigests(t, nodes, []tpch.Template{tpch.Q5})
+
+	// The coordinator replica is built first, so the query below runs
+	// right after Start returns.
+	p := testParams(nodes)
+	store, data, tables, err := datasets.BuildTPCH(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := adbnet.Start(adbnet.Options{
+		Workers:   workers,
+		Fragments: nodes,
+		Dataset:   datasets.TPCHName,
+		Params:    p,
+		Exec: adbnet.ExecConfig{
+			Model:     testModel(nodes),
+			Optimizer: adbnet.OptimizerConfig{Mode: int(optimizer.ModeAdaptive), WindowSize: 5, Seed: testSeed},
+		},
+		InProcess:   true,
+		MaxAttempts: 1, // no failover to mask a missing connection
+	})
+	if err != nil {
+		t.Fatalf("start cluster: %v", err)
+	}
+	defer cl.Close()
+	// Every pair of workers shares one connection, accepted by the lower.
+	if got, mesh := registered.Load(), int32(workers*(workers-1)/2); got != mesh {
+		t.Fatalf("Start returned with %d/%d mesh connections registered", got, mesh)
+	}
+	s := session.New(store, session.Config{
+		Model:     testModel(nodes),
+		Optimizer: optimizer.Config{Mode: optimizer.ModeAdaptive, WindowSize: 5, Seed: testSeed},
+		Net:       cl,
+	})
+	q, err := session.FromSpec(tables.Catalog(), tpch.NewInstance(tpch.Q5, data, rand.New(rand.NewSource(testSeed))).Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Execute(q)
+	if err != nil {
+		t.Fatalf("first query: %v", err)
+	}
+	if got := exec.DigestRows(res.Rows); got != want[0] {
+		t.Fatalf("first query checksum %016x != sim %016x", got, want[0])
+	}
+	cl.Close() // before the deferred leak check
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"time"
 )
 
 type endpoint struct {
@@ -18,8 +19,11 @@ type endpoint struct {
 
 	mu    sync.Mutex
 	peers map[int]*conn
-	atts  map[uint64]*attempt
-	tombs map[uint64]bool // finished/aborted qids: late frames dropped
+	// peerSet is closed and replaced whenever a peer registers — the
+	// broadcast awaitPeers waits on.
+	peerSet chan struct{}
+	atts    map[uint64]*attempt
+	tombs   map[uint64]bool // finished/aborted qids: late frames dropped
 }
 
 func newEndpoint(proc, window int) *endpoint {
@@ -27,18 +31,48 @@ func newEndpoint(proc, window int) *endpoint {
 		window = defaultWindow
 	}
 	return &endpoint{
-		proc:   proc,
-		window: window,
-		peers:  make(map[int]*conn),
-		atts:   make(map[uint64]*attempt),
-		tombs:  make(map[uint64]bool),
+		proc:    proc,
+		window:  window,
+		peers:   make(map[int]*conn),
+		peerSet: make(chan struct{}),
+		atts:    make(map[uint64]*attempt),
+		tombs:   make(map[uint64]bool),
 	}
 }
 
 func (ep *endpoint) setPeer(proc int, c *conn) {
 	ep.mu.Lock()
 	ep.peers[proc] = c
+	close(ep.peerSet)
+	ep.peerSet = make(chan struct{})
 	ep.mu.Unlock()
+}
+
+// awaitPeers blocks until every proc in procs has registered a
+// connection, or fails once timeout passes.
+func (ep *endpoint) awaitPeers(procs []int, timeout time.Duration) error {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for {
+		ep.mu.Lock()
+		missing := -1
+		for _, p := range procs {
+			if ep.peers[p] == nil {
+				missing = p
+				break
+			}
+		}
+		changed := ep.peerSet
+		ep.mu.Unlock()
+		if missing < 0 {
+			return nil
+		}
+		select {
+		case <-changed:
+		case <-deadline.C:
+			return &NetError{Msg: "mesh peer not connected before setup timeout", Peer: missing}
+		}
+	}
 }
 
 func (ep *endpoint) peerConn(proc int) *conn {

@@ -129,6 +129,9 @@ type setupMsg struct {
 	Exec        ExecConfig
 	Window      int   // credit window bytes per stream
 	KeepAliveMs int64 // keepalive interval; 0 disables
+	// SetupTimeoutMs bounds how long a worker waits for its mesh to
+	// complete before reporting ready.
+	SetupTimeoutMs int64
 }
 
 // linkRec is one per-link traffic record in a qdone message (a slice,

@@ -18,6 +18,7 @@ import (
 	gonet "net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adaptdb/internal/cluster"
@@ -130,6 +131,19 @@ func RunWorker(coordAddr string, proc int) error {
 		c.writeJSON(msgQErr, qerrMsg{Msg: err.Error()})
 		return err
 	}
+	// Higher-numbered peers register asynchronously, in acceptLoop after
+	// their hello; ready must wait for them, or the first query can find
+	// no connection for a stream toward one of them.
+	peers := make([]int, 0, len(w.setup.Procs))
+	for proc := range w.setup.Procs {
+		if proc != w.proc {
+			peers = append(peers, proc)
+		}
+	}
+	if err := w.ep.awaitPeers(peers, time.Duration(w.setup.SetupTimeoutMs)*time.Millisecond); err != nil {
+		c.writeJSON(msgQErr, qerrMsg{Msg: err.Error()})
+		return err
+	}
 	if err := c.writeFrame(msgReady, nil); err != nil {
 		return err
 	}
@@ -202,6 +216,11 @@ func (w *worker) buildReplica() error {
 	return nil
 }
 
+// meshAcceptHook, when set, runs on the accepting side of a mesh
+// connection after the dialer's hello and before the dialer registers
+// as a peer — a test seam that widens the registration window.
+var meshAcceptHook atomic.Pointer[func(proc int)]
+
 // acceptLoop accepts mesh connections from higher-numbered peers.
 func (w *worker) acceptLoop() {
 	for {
@@ -223,6 +242,9 @@ func (w *worker) acceptLoop() {
 				return
 			}
 			c.peer = h.Proc
+			if hook := meshAcceptHook.Load(); hook != nil {
+				(*hook)(h.Proc)
+			}
 			w.ep.setPeer(h.Proc, c)
 			c.serve(w.handleFrame(c), func(err error) { w.ep.peerDied(h.Proc, err) })
 		}()

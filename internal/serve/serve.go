@@ -195,12 +195,7 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 	// Reserve the planner-estimated footprint before anything runs.
 	// The estimate reads zone maps, so it needs a stable layout.
 	s.layoutMu.RLock()
-	var est int64
-	if q.Spec != nil {
-		est = s.footprintSpec(q.Spec)
-	} else {
-		est = s.footprint(q.Plan)
-	}
+	est := s.footprintSpec(q.Spec)
 	s.layoutMu.RUnlock()
 	res.EstBytes = est
 	qstart := time.Now()
@@ -267,60 +262,31 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 	runner.ForceShuffle = s.cfg.ForceShuffle
 	runner.Cache = s.cache
 	runner.Epoch = s.Epoch
-	var comp *planner.Compiled
-	var err error
-	if q.Spec != nil {
-		comp, err = runner.CompileSpec(q.Spec)
-	} else {
-		comp, err = runner.Compile(q.Plan)
-	}
+	comp, err := runner.CompileSpec(q.Spec)
 	res.CacheHits, res.CacheMisses = runner.CacheHits, runner.CacheMisses
 	if err != nil {
 		return res, err
 	}
 	res.Report = comp.Report
 
-	sum := uint64(0)
-	var scratch []byte
-	wrapped := func(b *exec.Batch) error {
-		for _, r := range b.Rows() {
-			scratch = r.AppendBinary(scratch[:0])
-			sum += fnv1a(scratch)
-		}
+	var sum exec.Digest
+	var rows exec.RowSink
+	res.RowCount, err = exec.Drain(ctx, comp.Root, func(b *exec.Batch) error {
+		sum.Add(b)
 		if collect {
-			if b.OwnsRows() {
-				// Owned rows die with the batch arena at Release — copy.
-				for _, r := range b.Rows() {
-					res.Rows = append(res.Rows, append(tuple.Tuple(nil), r...))
-				}
-			} else {
-				// View rows alias storage that outlives the batch; copying
-				// them again would double every materialized scan result.
-				res.Rows = append(res.Rows, b.Rows()...)
-			}
+			rows.Add(b)
 		}
 		if sink != nil {
 			return sink(b)
 		}
 		return nil
-	}
-	n, err := drain(ctx, comp.Root, wrapped)
-	res.RowCount = n
-	res.Checksum = sum
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	})
+	res.Rows, res.Checksum = rows.Rows, sum.Sum
+	return res, err
 }
 
-// footprint estimates a plan's peak memory via a throwaway runner over
-// the template executor (EstimateFootprint only reads zone maps).
-func (s *Service) footprint(n planner.Node) int64 {
-	r := planner.NewRunner(s.base, s.model)
-	return floorReserve(r.EstimateFootprint(n))
-}
-
-// footprintSpec is footprint for the declarative form: the throwaway
+// footprintSpec estimates a spec's peak memory via a throwaway runner
+// over the template executor (the estimate only reads zone maps): the
 // runner orders the spec the same way the compile will (same knobs)
 // and prices the resulting tree.
 func (s *Service) footprintSpec(b *query.Bound) int64 {
@@ -397,50 +363,3 @@ func (s *Service) CacheStats() (hits, misses int64) {
 
 // Store exposes the served store.
 func (s *Service) Store() *dfs.Store { return s.store }
-
-// drain pulls a DAG to exhaustion, forwarding batches to sink. The
-// context is checked at every batch boundary — the serving-layer end
-// of the cancellation thread: even when the operators have already
-// buffered the remaining output (so no worker observes ctx), a
-// cancelled query stops delivering and errors promptly.
-func drain(ctx context.Context, op exec.Operator, sink func(*exec.Batch) error) (int, error) {
-	if err := op.Open(); err != nil {
-		return 0, err
-	}
-	defer op.Close()
-	n := 0
-	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return n, err
-			}
-		}
-		b, err := op.Next()
-		if err != nil {
-			return n, err
-		}
-		if b == nil {
-			return n, nil
-		}
-		n += b.Len()
-		if sink != nil {
-			if err := sink(b); err != nil {
-				b.Release()
-				return n, err
-			}
-		}
-		b.Release()
-	}
-}
-
-// fnv1a is the 64-bit FNV-1a of buf — the per-row term of the
-// order-independent result checksum.
-func fnv1a(buf []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, c := range buf {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}

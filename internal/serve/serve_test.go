@@ -13,8 +13,8 @@ import (
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/exec"
 	"adaptdb/internal/optimizer"
-	"adaptdb/internal/planner"
 	"adaptdb/internal/predicate"
+	"adaptdb/internal/query"
 	"adaptdb/internal/schema"
 	"adaptdb/internal/session"
 	"adaptdb/internal/tuple"
@@ -80,25 +80,21 @@ func buildFixture(t *testing.T) *fixture {
 }
 
 // query builds a fact ⋈ dim query on the given fact column with a
-// selection on fact.v, with window-feeding Uses.
+// selection on fact.v; FromSpec derives the window-feeding Uses.
 func (f *fixture) query(attr int, vmax int64) session.Query {
-	dim := f.da
+	dim, col := "dim_a", "a"
 	if attr == 1 {
-		dim = f.db
+		dim, col = "dim_b", "b"
 	}
-	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(vmax))}
-	return session.Query{
-		Label: fmt.Sprintf("fact-dim@%d<%d", attr, vmax),
-		Plan: &planner.Join{
-			Left:  &planner.Scan{Table: f.fact, Preds: preds},
-			Right: &planner.Scan{Table: dim},
-			LCol:  attr, RCol: 0,
-		},
-		Uses: []optimizer.TableUse{
-			{Table: f.fact, JoinAttr: attr, Preds: preds},
-			{Table: dim, JoinAttr: 0},
-		},
+	q, err := session.FromSpec(query.Catalog{"fact": f.fact, "dim_a": f.da, "dim_b": f.db}, query.Spec{
+		Label:  fmt.Sprintf("fact-dim@%d<%d", attr, vmax),
+		Tables: []query.TableRef{query.T("fact", query.Cmp("v", predicate.LT, value.NewInt(vmax))), query.T(dim)},
+		Joins:  []query.JoinEdge{query.On(query.C("fact", col), query.C(dim, "key"))},
+	})
+	if err != nil {
+		panic(err) // the fixture specs are static
 	}
+	return q
 }
 
 // noAdapt strips Uses so the query doesn't feed windows or trigger

@@ -7,9 +7,10 @@ import (
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/exec"
 	"adaptdb/internal/optimizer"
-	"adaptdb/internal/planner"
+	"adaptdb/internal/predicate"
 	"adaptdb/internal/tpch"
 	"adaptdb/internal/tuple"
+	"adaptdb/internal/value"
 )
 
 // replayTPCH runs the join-attribute-shifting TPC-H stream through a
@@ -36,7 +37,11 @@ func replayTPCH(t *testing.T, data *tpch.Dataset, nodes int) ([][]tuple.Tuple, [
 	var results []*Result
 	for qi, tpl := range schedule {
 		in := tpch.NewInstance(tpl, data, rng)
-		res, err := s.Execute(Query{Label: string(tpl), Plan: in.Plan(tables), Uses: in.Uses(tables)})
+		q, err := FromSpec(tables.Catalog(), in.Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Execute(q)
 		if err != nil {
 			t.Fatalf("nodes=%d q%d (%s): %v", nodes, qi, tpl, err)
 		}
@@ -109,7 +114,7 @@ func TestDistributedHyperJoinSessionZeroExchange(t *testing.T) {
 		t.Fatalf("co-partitioned hyper-join exchanged %v rows, want 0", got)
 	}
 	// Sanity: the answer still matches the oracle.
-	preds := f.query(0, 1000).Plan.(*planner.Join).Left.(*planner.Scan).Preds
+	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(1000))}
 	want := exec.NestedLoopJoin(filterRows(f.frows, preds), f.darows, 0, 0)
 	sameRows(t, last.Rows, want, "converged hyper")
 }

@@ -7,7 +7,7 @@ import (
 	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/optimizer"
-	"adaptdb/internal/planner"
+	"adaptdb/internal/query"
 	"adaptdb/internal/schema"
 	"adaptdb/internal/session"
 	"adaptdb/internal/tuple"
@@ -49,17 +49,15 @@ func ExampleSession() {
 		Optimizer: optimizer.Config{Mode: optimizer.ModeAdaptive, WindowSize: 4, Seed: 7},
 	})
 	for i, attr := range []int{0, 1, 1, 1, 1} {
-		q := session.Query{
-			Label: fmt.Sprintf("q%d", i),
-			Plan: &planner.Join{
-				Left:  &planner.Scan{Table: fact},
-				Right: &planner.Scan{Table: dim},
-				LCol:  attr, RCol: 0,
-			},
-			Uses: []optimizer.TableUse{
-				{Table: fact, JoinAttr: attr},
-				{Table: dim, JoinAttr: 0},
-			},
+		col := []string{"a", "b"}[attr]
+		q, err := session.FromSpec(query.Catalog{"fact": fact, "dim": dim}, query.Spec{
+			Label:  fmt.Sprintf("q%d", i),
+			Tables: []query.TableRef{query.T("fact"), query.T("dim")},
+			Joins:  []query.JoinEdge{query.On(query.C("fact", col), query.C("dim", "key"))},
+		})
+		if err != nil {
+			fmt.Println("error:", err)
+			return
 		}
 		res, err := s.Execute(q)
 		if err != nil {

@@ -1,28 +1,40 @@
-// Package session drives AdaptDB's full adaptive loop in one process
-// off one API — the paper's Fig. 2 storage-manager lifecycle as a
-// query-stream service. A Session accepts a stream of planner queries;
-// for each one it
+// Package session drives AdaptDB's full adaptive loop off one API —
+// the paper's Fig. 2 storage-manager lifecycle as a query-stream
+// service. A Session accepts a stream of declarative queries (a bound
+// query.Spec is the only input form; FromSpec builds one) and runs
+// each through one loop:
 //
-//  1. records how the query touches every table into that table's
-//     workload.Window and runs the optimizer's smooth-repartitioning
-//     step (§5.2, Fig. 11) — trees are created, blocks migrate, and
-//     drained trees are dropped between queries while the stream runs;
-//  2. compiles the plan tree (arbitrary depth, not just two-table)
-//     into a DAG of exec.Operators via planner.Compile — pipelined
-//     scans with predicate pushdown and the cost-model-selected
-//     hyper / shuffle / combination / semi-shuffle join strategies as
-//     operator choices, with no intermediate whole-table slice
-//     materialization anywhere on the path;
-//  3. drains the DAG through the executor's bounded worker pool,
-//     collecting per-operator stats (rows / batches / wall ns), the
-//     per-join strategy report, and the metered I/O priced by the §4.2
-//     cost model.
+//  1. adapt: record how the query touches every table into that
+//     table's workload.Window and run the optimizer's smooth-
+//     repartitioning step (§5.2, Fig. 11) — trees are created, blocks
+//     migrate, and drained trees are dropped between queries while the
+//     stream runs;
+//  2. compile: order the join graph greedily and lower it into a DAG
+//     of exec.Operators via planner.CompileSpec — pipelined scans with
+//     predicate pushdown and the cost-model-selected hyper / shuffle /
+//     combination / semi-shuffle join strategies as operator choices;
+//  3. drain: pull the DAG through exec.Drain, collecting per-operator
+//     stats (rows / batches / wall ns) and the per-join strategy report;
+//  4. account: fold the metered I/O, priced by the §4.2 cost model,
+//     into the query's result and reset the meter, whatever happened.
+//
+// The exchange fabric is a choice inside that loop, not a second loop.
+// The in-process simulated fabric (Config.Distributed) compiles against
+// the executor's NodeSet and never fails over. The TCP fabric
+// (Config.Net) dispatches each compile as an attempt to real worker
+// processes; a transport failure retries compile → drain on the
+// surviving replicas, without adapting again.
 //
 // Repartitioning I/O is metered into the triggering query's counters,
 // so per-query SimSeconds reflect adaptation overhead exactly as the
 // paper's per-query latency plots do. All randomness (migration bucket
 // choice, new-tree build seeds) descends from Config.Seed, so a
 // session run replays bit-identically.
+//
+// The multi-tenant serve package and the figure experiments keep their
+// own run paths: serve adds admission, per-tenant adaptation under a
+// layout lock and per-query memory budgets, and the experiments run
+// hand-built planner.Node plans (Q8's bushy tree has no Spec form).
 package session
 
 import (
@@ -41,24 +53,21 @@ import (
 	"adaptdb/internal/tuple"
 )
 
-// Query is one query of the stream: a declarative spec (the public
-// form) or an executable plan tree (the compiler IR), plus the
-// per-table touch descriptors that feed the query windows.
+// Query is one query of the stream: a bound declarative spec plus the
+// per-table touch descriptors that feed the query windows. Build one
+// with FromSpec.
 type Query struct {
 	// Label tags results (e.g. the TPC-H template name); informational.
 	Label string
-	// Spec is the bound declarative query — the public query surface.
-	// When set, the session lowers it with greedy join ordering
-	// (planner.CompileSpec) and Plan is ignored. Build one with
-	// FromSpec, which also derives Uses.
+	// Spec is the bound declarative query, lowered with greedy join
+	// ordering (planner.CompileSpec).
 	Spec *query.Bound
-	// Plan is the query's join tree over loaded tables — the planner's
-	// internal IR, still accepted for hand-built plans and tests.
-	Plan planner.Node
 	// Uses describes how the query touches each table (join attribute +
 	// predicates) — what the optimizer records into workload windows
-	// before adapting. A query that should not influence adaptation may
-	// leave it nil. FromSpec derives it from the join graph.
+	// before adapting. FromSpec derives it from the join graph; a query
+	// that should not influence adaptation may leave it nil (the TCP
+	// fabric always votes the spec's own Uses, which every worker
+	// replica derives too).
 	Uses []optimizer.TableUse
 }
 
@@ -222,9 +231,6 @@ func (s *Session) StreamContext(ctx context.Context, q Query, sink func(*exec.Ba
 }
 
 func (s *Session) run(q Query, collect bool, sink func(*exec.Batch) error) (*Result, error) {
-	if s.net != nil {
-		return s.runNet(q, collect, sink)
-	}
 	res := &Result{Seq: s.seq, Label: q.Label}
 	s.seq++
 	start := time.Now()
@@ -241,68 +247,109 @@ func (s *Session) run(q Query, collect bool, sink func(*exec.Batch) error) (*Res
 		res.Counters = s.meter.Reset()
 		res.SimSeconds = res.Counters.SimSeconds(s.model)
 	}()
+	if q.Spec == nil {
+		return res, fmt.Errorf("session: query %q has no spec (build it with FromSpec)", q.Label)
+	}
 
 	// Adapt first: the query joins the windows, and smooth
 	// repartitioning migrates blocks before execution, so this query
 	// already scans the trees it voted for. Migration I/O lands on this
-	// query's meter (the paper's per-query accounting).
-	adapt, err := s.opt.OnQuery(q.Uses, s.meter)
+	// query's meter once (the paper's per-query accounting); TCP workers
+	// adapt with throwaway meters, and a retried attempt never
+	// re-adapts.
+	uses := q.Uses
+	if s.net != nil {
+		// Every worker replica derives its votes from the bound spec;
+		// the coordinator must match them exactly or layouts drift apart.
+		uses = q.Spec.Uses()
+	}
+	adapt, err := s.opt.OnQuery(uses, s.meter)
 	if err != nil {
 		return res, fmt.Errorf("session: adapt %q: %w", q.Label, err)
 	}
 	res.Adapt = adapt
 
-	var comp *planner.Compiled
-	if q.Spec != nil {
-		comp, err = s.runner.CompileSpec(q.Spec)
-	} else {
-		comp, err = s.runner.Compile(q.Plan)
+	ctx := s.ex.Ctx()
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if err != nil {
-		return res, fmt.Errorf("session: compile %q: %w", q.Label, err)
+	// The simulated fabric never fails over, so Stream drains straight
+	// into the sink. A TCP attempt can fail over after delivering rows,
+	// so its output is materialized and replayed into the sink only once
+	// the attempt succeeded — the sink sees every row exactly once.
+	var rows exec.RowSink
+	out := sink
+	if collect || s.net != nil {
+		out = rows.Add
 	}
-	res.Report = comp.Report
-	defer func() { res.Ops = comp.OpStats() }()
-	if collect {
-		rows, err := exec.Collect(comp.Root)
+	for n := 1; ; n++ {
+		rows = exec.RowSink{}
+		comp, at, err := s.compile(ctx, q, res.Seq)
 		if err != nil {
-			return res, fmt.Errorf("session: execute %q: %w", q.Label, err)
+			return res, err
 		}
-		res.Rows, res.RowCount = rows, len(rows)
-	} else {
-		n, err := s.drain(comp.Root, sink)
-		if err != nil {
-			return res, fmt.Errorf("session: execute %q: %w", q.Label, err)
+		res.Report = comp.Report
+		res.RowCount, err = exec.Drain(ctx, comp.Root, out)
+		res.Ops = comp.OpStats()
+		retry := false
+		if at != nil {
+			// Merges the workers' counters, or reports whether a
+			// transport failure can fail over to a surviving replica.
+			retry, err = at.Finish(err, s.meter)
 		}
-		res.RowCount = n
+		if err == nil {
+			break
+		}
+		if !retry || n >= s.net.MaxAttempts() {
+			return res, fmt.Errorf("session: execute %q (attempt %d): %w", q.Label, n, err)
+		}
 	}
+
+	if s.net != nil {
+		// Measured link weights feed the next compile's shuffle pricing.
+		if w := s.net.Weights(); w != nil {
+			s.runner.LinkWeights = w
+		}
+		if !collect {
+			_, err := exec.Drain(ctx, exec.NewSource(rows.Rows), sink)
+			return res, err
+		}
+	}
+	res.Rows = rows.Rows
 	return res, nil
 }
 
-// drain pulls the DAG to exhaustion, forwarding batches to sink.
-func (s *Session) drain(op exec.Operator, sink func(*exec.Batch) error) (int, error) {
-	if err := op.Open(); err != nil {
-		return 0, err
-	}
-	defer op.Close()
-	n := 0
-	for {
-		b, err := op.Next()
+// compile lowers the query against the session's fabric. Over TCP it
+// first dispatches an attempt to the workers, compiles the
+// coordinator's fragments against that attempt's fabric and starts its
+// pumps. The simulated fabric compiles against the executor's NodeSet
+// and has no attempt (nil): it never fails over.
+func (s *Session) compile(ctx context.Context, q Query, seq int) (*planner.Compiled, *adbnet.Attempt, error) {
+	if s.net == nil {
+		comp, err := s.runner.CompileSpec(q.Spec)
 		if err != nil {
-			return n, err
+			return nil, nil, fmt.Errorf("session: compile %q: %w", q.Label, err)
 		}
-		if b == nil {
-			return n, nil
-		}
-		n += b.Len()
-		if sink != nil {
-			if err := sink(b); err != nil {
-				b.Release()
-				return n, err
-			}
-		}
-		b.Release()
+		return comp, nil, nil
 	}
+	at, err := s.net.Begin(q.Spec.Spec, seq, s.runner.LinkWeights)
+	if err != nil {
+		return nil, nil, fmt.Errorf("session: dispatch %q: %w", q.Label, err)
+	}
+	fb, err := at.Fabric(s.ex)
+	if err != nil {
+		at.Finish(err, s.meter)
+		return nil, nil, fmt.Errorf("session: %q: %w", q.Label, err)
+	}
+	s.ex.SetFabric(fb)
+	comp, err := s.runner.CompileSpec(q.Spec)
+	s.ex.SetFabric(nil)
+	if err != nil {
+		at.Finish(err, s.meter)
+		return nil, nil, fmt.Errorf("session: compile %q: %w", q.Label, err)
+	}
+	at.Start(ctx)
+	return comp, at, nil
 }
 
 // NodeLoad aggregates one node's share of a query's work — rows and
@@ -363,3 +410,6 @@ func (s *Session) Executor() *exec.Executor { return s.ex }
 
 // Runner exposes the planner runner the session compiles with.
 func (s *Session) Runner() *planner.Runner { return s.runner }
+
+// Net exposes the session's cluster handle (nil without TCP transport).
+func (s *Session) Net() *adbnet.Cluster { return s.net }

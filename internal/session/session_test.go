@@ -8,8 +8,8 @@ import (
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/exec"
 	"adaptdb/internal/optimizer"
-	"adaptdb/internal/planner"
 	"adaptdb/internal/predicate"
+	"adaptdb/internal/query"
 	"adaptdb/internal/schema"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
@@ -78,23 +78,25 @@ func setup(t *testing.T) *fixture {
 // query builds a fact ⋈ dim session query joining on the given fact
 // column, with a selection on fact.v to vary instances.
 func (f *fixture) query(attr int, vmax int64) Query {
-	dim := f.da
+	dim, col := "dim_a", "a"
 	if attr == 1 {
-		dim = f.db
+		dim, col = "dim_b", "b"
 	}
-	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(vmax))}
-	return Query{
-		Label: "fact-dim",
-		Plan: &planner.Join{
-			Left:  &planner.Scan{Table: f.fact, Preds: preds},
-			Right: &planner.Scan{Table: dim},
-			LCol:  attr, RCol: 0,
-		},
-		Uses: []optimizer.TableUse{
-			{Table: f.fact, JoinAttr: attr, Preds: preds},
-			{Table: dim, JoinAttr: 0},
-		},
+	return f.bind(query.Spec{
+		Label:  "fact-dim",
+		Tables: []query.TableRef{query.T("fact", query.Cmp("v", predicate.LT, value.NewInt(vmax))), query.T(dim)},
+		Joins:  []query.JoinEdge{query.On(query.C("fact", col), query.C(dim, "key"))},
+	})
+}
+
+// bind wraps a spec over the fixture's tables as a stream query; the
+// fixture specs are static, so a bind error is a broken test.
+func (f *fixture) bind(s query.Spec) Query {
+	q, err := FromSpec(query.Catalog{"fact": f.fact, "dim_a": f.da, "dim_b": f.db}, s)
+	if err != nil {
+		panic(err)
 	}
+	return q
 }
 
 func filterRows(rows []tuple.Tuple, preds []predicate.Predicate) []tuple.Tuple {
@@ -251,34 +253,29 @@ func TestSessionAdaptiveStream(t *testing.T) {
 	}
 }
 
-// TestSessionThreeTableDAG compiles and runs a 3-table plan through the
-// session: (fact ⋈ dim_a) ⋈ dim_b with the intermediate streaming into
-// the second join's build side — no whole-table slice materialization.
+// TestSessionThreeTableDAG compiles and runs a 3-table spec through the
+// session: fact ⋈ dim_a ⋈ dim_b with the intermediate streaming into
+// the second join — no whole-table slice materialization.
 func TestSessionThreeTableDAG(t *testing.T) {
 	f := setup(t)
 	s := New(f.store, Config{
 		Optimizer: optimizer.Config{Mode: optimizer.ModeAdaptive, WindowSize: 8, Seed: 5},
 	})
 	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(700))}
-	inner := &planner.Join{
-		Left:  &planner.Scan{Table: f.fact, Preds: preds},
-		Right: &planner.Scan{Table: f.da},
-		LCol:  0, RCol: 0,
-	}
-	plan := &planner.Join{
-		Left:  inner,
-		Right: &planner.Scan{Table: f.db},
-		LCol:  1, RCol: 0, // fact.b in the concatenated row
-	}
-	q := Query{
+	q := f.bind(query.Spec{
 		Label: "three-table",
-		Plan:  plan,
-		Uses: []optimizer.TableUse{
-			{Table: f.fact, JoinAttr: 0, Preds: preds},
-			{Table: f.da, JoinAttr: 0},
-			{Table: f.db, JoinAttr: 0},
+		Tables: []query.TableRef{
+			query.T("fact", query.Cmp("v", predicate.LT, value.NewInt(700))),
+			query.T("dim_a"), query.T("dim_b"),
 		},
-	}
+		Joins: []query.JoinEdge{
+			query.On(query.C("fact", "a"), query.C("dim_a", "key")),
+			query.On(query.C("fact", "b"), query.C("dim_b", "key")),
+		},
+	})
+	// Declaration order keeps the plan shape (fact ⋈ dim_a) ⋈ dim_b, so
+	// the operator count below does not hinge on the greedy order.
+	s.Runner().FixedOrder = true
 	res, err := s.Execute(q)
 	if err != nil {
 		t.Fatal(err)
