@@ -9,6 +9,7 @@ package block
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/schema"
@@ -22,10 +23,19 @@ type ID int32
 
 // Block is an in-memory batch of rows with maintained zone maps. The zero
 // Block is empty and usable.
+//
+// Besides its rows a block carries a columnar image of them (Columns),
+// built on the first columnar scan and kept for every later one: blocks
+// are written once and read by every query (§2, §6), so the row-to-
+// column transpose is paid once per block instead of once per scan.
+// Like Tuples, the image may be read concurrently but not while Append
+// runs; migration (the only appender) never overlaps a scan of the
+// same table.
 type Block struct {
 	Tuples []tuple.Tuple
 	mins   []value.Value
 	maxs   []value.Value
+	img    atomic.Pointer[tuple.Columns]
 }
 
 // New returns an empty block sized for the given schema.
@@ -61,6 +71,36 @@ func (b *Block) Append(t tuple.Tuple) {
 		}
 	}
 	b.Tuples = append(b.Tuples, t)
+	if img := b.img.Load(); img != nil {
+		// Grow in place: views handed out earlier are capped at their
+		// own length, so the new row lands outside every one of them.
+		img.AppendRow(t)
+	}
+}
+
+// Columns returns the block's columnar image: every row of Tuples, in
+// order, as typed vectors. The image is built on first use — loading
+// never pays for it — and is then shared by every scan; concurrent first
+// callers may each build one, and all adopt whichever is published
+// first. Callers must treat the image as read-only (tuple.Columns.View
+// hands out windows that cannot write it).
+func (b *Block) Columns() *tuple.Columns {
+	if img := b.img.Load(); img != nil {
+		return img
+	}
+	ncols := len(b.mins)
+	if len(b.Tuples) > 0 {
+		ncols = len(b.Tuples[0])
+	}
+	img := tuple.NewColumns(ncols)
+	img.Reserve(len(b.Tuples))
+	img.AppendRows(b.Tuples)
+	if !b.img.CompareAndSwap(nil, img) {
+		if won := b.img.Load(); won != nil {
+			return won
+		}
+	}
+	return img
 }
 
 // Range returns the zone-map interval of column col: the paper's

@@ -1,7 +1,11 @@
 package block
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -233,4 +237,122 @@ func TestSerializeEmpty(t *testing.T) {
 	if got.Len() != 0 {
 		t.Fatalf("empty round trip has %d tuples", got.Len())
 	}
+}
+
+// imageEncoding returns each image row's binary encoding, which is
+// bit-exact (NULLs and NaN payloads included) and equals the tuple's.
+func imageEncoding(c *tuple.Columns) [][]byte {
+	out := make([][]byte, c.FullLen())
+	for i := range out {
+		out[i] = c.AppendRowBinary(nil, i)
+	}
+	return out
+}
+
+// checkImage fails unless the block's image is exactly its Tuples.
+func checkImage(t *testing.T, b *Block) {
+	t.Helper()
+	img := b.Columns()
+	if img.FullLen() != b.Len() {
+		t.Fatalf("image has %d rows, block %d", img.FullLen(), b.Len())
+	}
+	for i, r := range b.Tuples {
+		if got, want := img.AppendRowBinary(nil, i), r.AppendBinary(nil); string(got) != string(want) {
+			t.Fatalf("image row %d = %x, want %x", i, got, want)
+		}
+	}
+}
+
+// randRow draws rows whose columns stay typed, carry NULLs and NaNs,
+// or (column 2, now and then) switch kind and demote to boxed.
+func randRow(rng *rand.Rand) tuple.Tuple {
+	r := row(rng.Int63n(50), float64(rng.Intn(8))/2, string(rune('a'+rng.Intn(5))))
+	switch rng.Intn(12) {
+	case 0:
+		r[rng.Intn(3)] = value.Value{}
+	case 1:
+		r[1] = value.NewFloat(math.NaN())
+	case 2:
+		r[2] = value.NewInt(7)
+	}
+	return r
+}
+
+func TestImageTracksAppends(t *testing.T) {
+	// Random interleavings of Append and scans: the image grown in place
+	// must always equal a fresh transpose of Tuples, and every window a
+	// scan took earlier must still show the rows it saw.
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 200; iter++ {
+		b := New(sch)
+		type window struct {
+			v    *tuple.Columns
+			want [][]byte
+		}
+		var wins []window
+		for step := rng.Intn(400); step > 0; step-- {
+			b.Append(randRow(rng))
+			if rng.Intn(40) == 0 {
+				checkImage(t, b)
+				img := b.Columns()
+				lo := 64 * rng.Intn(img.FullLen()/64+1)
+				w := new(tuple.Columns)
+				w.View(img, lo, img.FullLen())
+				wins = append(wins, window{w, imageEncoding(w)})
+			}
+		}
+		checkImage(t, b)
+		for k, w := range wins {
+			if got := imageEncoding(w.v); !slices.EqualFunc(got, w.want, bytes.Equal) {
+				t.Fatalf("iter %d: window %d changed after later appends", iter, k)
+			}
+		}
+	}
+}
+
+func TestImageBuiltOnceAndShared(t *testing.T) {
+	b := New(sch)
+	for i := 0; i < 300; i++ {
+		b.Append(row(int64(i), float64(i), "s"))
+	}
+	img := b.Columns()
+	if b.Columns() != img {
+		t.Fatal("second Columns call rebuilt the image")
+	}
+	b.Append(row(1, 1, "t"))
+	if b.Columns() != img || img.FullLen() != 301 {
+		t.Fatal("Append threw the image away instead of growing it")
+	}
+	var zero Block
+	if zero.Columns().FullLen() != 0 {
+		t.Fatal("zero block has a non-empty image")
+	}
+}
+
+func TestImageConcurrentBuild(t *testing.T) {
+	// Concurrent first scans each may build an image; all must end up
+	// sharing the published one. Run under -race.
+	b := New(sch)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		b.Append(randRow(rng))
+	}
+	const n = 8
+	got := make([]*tuple.Columns, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = b.Columns()
+			imageEncoding(got[g]) // read it while others may still build
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d adopted a different image", g)
+		}
+	}
+	checkImage(t, b)
 }

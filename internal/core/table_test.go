@@ -324,3 +324,58 @@ func TestZoneMapsMatchDataAfterMoves(t *testing.T) {
 		}
 	}
 }
+
+func TestBlockImagesTrackMoves(t *testing.T) {
+	// Scans build block images lazily; migrations then append into them
+	// in place. After any sequence of the two, every image must equal a
+	// fresh transpose of its block's Tuples.
+	rows := genRows(2000, 11)
+	tbl, store := loadTable(t, rows, LoadOptions{RowsPerBlock: 64, Seed: 1, JoinAttr: -1})
+	rng := rand.New(rand.NewSource(5))
+	trees := []int{0}
+	for k := 0; k < 2; k++ {
+		nt := twophase.Builder{Schema: sch, JoinAttr: k, JoinLevels: 2, TotalDepth: 4, Seed: int64(7 + k)}.Build(tbl.SampleRows)
+		trees = append(trees, tbl.AddTree(nt))
+	}
+	check := func(frac int) {
+		t.Helper()
+		for _, ti := range tbl.LiveTrees() {
+			for _, b := range tbl.Trees[ti].LiveBuckets() {
+				if rng.Intn(frac) != 0 {
+					continue
+				}
+				blk, _, err := store.GetBlock(tbl.BlockPath(ti, b), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				img := blk.Columns()
+				if img.FullLen() != blk.Len() {
+					t.Fatalf("tree %d bucket %d: image %d rows, block %d", ti, b, img.FullLen(), blk.Len())
+				}
+				for i, r := range blk.Tuples {
+					if string(img.AppendRowBinary(nil, i)) != string(r.AppendBinary(nil)) {
+						t.Fatalf("tree %d bucket %d row %d: image differs from Tuples", ti, b, i)
+					}
+				}
+			}
+		}
+	}
+	var meter cluster.Meter
+	for round := 0; round < 12; round++ {
+		check(2) // a scan touches about half the blocks
+		from := trees[rng.Intn(len(trees))]
+		to := trees[rng.Intn(len(trees))]
+		live := tbl.Trees[from].LiveBuckets()
+		if from == to || len(live) == 0 {
+			continue
+		}
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		if err := tbl.MoveBuckets(from, to, live[:1+rng.Intn(len(live))/2], &meter, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(1)
+	if got := countRows(t, tbl); got != len(rows) {
+		t.Fatalf("rows after moves = %d, want %d", got, len(rows))
+	}
+}

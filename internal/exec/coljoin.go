@@ -31,22 +31,18 @@ import (
 )
 
 // colBuf is one build worker's private slice of one partition: hashes
-// plus a columnar store, appended without locks. hint pre-sizes the
-// store from the planner's build estimate so steady growth doesn't pay
-// append-doubling garbage.
+// plus a columnar store, appended without locks. It grows with the rows
+// that actually arrive: the planner's estimate is taken before the
+// build side's predicates, so reserving from it over-allocates every
+// selective build.
 type colBuf struct {
 	hashes []uint64
 	store  *tuple.Columns
-	hint   int
 }
 
 func (b *colBuf) init(ncols int) {
 	if b.store == nil {
 		b.store = tuple.NewColumns(ncols)
-		if b.hint > 0 {
-			b.store.Reserve(b.hint)
-			b.hashes = make([]uint64, 0, b.hint)
-		}
 	}
 }
 
@@ -101,18 +97,9 @@ func (j *hashJoinOp) buildTablesCol() error {
 	w := j.workerCount()
 	bufs := make([][]colBuf, w)
 	in := make(chan *Batch, w)
-	// Per-(worker, partition) share of the planner's build estimate; 0
-	// (no estimate) falls back to append growth.
-	hint := 0
-	if j.opts.BuildRowsEst > 0 {
-		hint = j.opts.BuildRowsEst / (w * j.nParts)
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		bufs[i] = make([]colBuf, j.nParts)
-		for p := range bufs[i] {
-			bufs[i][p].hint = hint
-		}
 		wg.Add(1)
 		go func(id int, my []colBuf) {
 			defer wg.Done()
@@ -252,9 +239,9 @@ func (j *hashJoinOp) buildTablesCol() error {
 // sealColTables merges every worker's per-partition stores into one
 // global store (bulk column concatenation — flat memmoves for typed
 // vectors) and chains each partition's rows into its hash table.
-// Buckets are pre-sized from BuildRowsEst so a decent estimate means
-// the table is born at its final size. Runs single-threaded: the merge
-// is memmove-bound and partition chains index disjoint ranges.
+// Everything is sized from the sealed row counts, which are exact by
+// now. Runs single-threaded: the merge is memmove-bound and partition
+// chains index disjoint ranges.
 func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 	cb := &colBuild{parts: make([]colPart, j.nParts)}
 	total, ncols := 0, 0
@@ -275,10 +262,6 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 	store := tuple.NewColumns(ncols)
 	store.Reserve(total)
 	hashes := make([]uint64, 0, total)
-	perHint := 0
-	if j.opts.BuildRowsEst > 0 {
-		perHint = j.opts.BuildRowsEst >> uint(j.radixBits)
-	}
 	for p := 0; p < j.nParts; p++ {
 		base := len(hashes)
 		for wi := range bufs {
@@ -294,7 +277,7 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 		if n == 0 {
 			continue // empty or spilled partition: zero colPart, probe skips
 		}
-		nb := tableBuckets(n, perHint)
+		nb := tableBuckets(n, 0)
 		part := colPart{
 			base:    int32(base),
 			buckets: make([]int32, nb),

@@ -53,6 +53,9 @@ type ConcurrentConfig struct {
 	QueriesPerClient int
 	// MemBudget is the service's global admission pool (0 = unlimited).
 	MemBudget int64
+	// SpillDir is where budgeted queries put their run files ("" = the
+	// OS temp dir).
+	SpillDir string
 	// Distributed runs per-node executors and exchanges.
 	Distributed bool
 }
@@ -114,6 +117,7 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 			Model:       model,
 			Optimizer:   optimizer.Config{Mode: optimizer.ModeAdaptive, WindowSize: 5, Seed: cfg.Seed},
 			MemBudget:   cfg.MemBudget,
+			SpillDir:    cfg.SpillDir,
 			Distributed: cfg.Distributed,
 		}), tbls, nil
 	}

@@ -13,7 +13,7 @@ import (
 func TestConcurrentSessionsQuick(t *testing.T) {
 	rep, err := RunConcurrent(ConcurrentConfig{
 		Seed: 1, SF: 0.002, Clients: 4, QueriesPerClient: 8,
-		MemBudget: 32 << 20,
+		MemBudget: 32 << 20, SpillDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestConcurrentSessionsDistributed(t *testing.T) {
 	}
 	if _, err := RunConcurrent(ConcurrentConfig{
 		Seed: 2, SF: 0.002, Clients: 3, QueriesPerClient: 6,
-		MemBudget: 32 << 20, Distributed: true,
+		MemBudget: 32 << 20, SpillDir: t.TempDir(), Distributed: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestConcurrentSoak(t *testing.T) {
 	for time.Now().Before(deadline) {
 		cfg := ConcurrentConfig{
 			Seed: seed, SF: 0.005, Clients: 6, QueriesPerClient: 12,
-			MemBudget: 48 << 20, Distributed: seed%2 == 0,
+			MemBudget: 48 << 20, SpillDir: t.TempDir(), Distributed: seed%2 == 0,
 		}
 		if _, err := RunConcurrent(cfg); err != nil {
 			t.Fatal(err)

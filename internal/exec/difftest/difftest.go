@@ -77,6 +77,9 @@ type Case struct {
 	// CoPart loads the distributed tables with a join tree on the key
 	// (the hyper-join-eligible layout) instead of random partitioning.
 	CoPart bool
+	// SpillDir is where budgeted runs put their run files ("" = the OS
+	// temp dir). Tests give each case its own directory.
+	SpillDir string
 }
 
 func (c Case) String() string {
@@ -362,6 +365,7 @@ func RunCentralized(c Case) error {
 		store := dfs.NewStore(2, 1, c.Seed)
 		ex := exec.New(store, &cluster.Meter{})
 		ex.Mem = exec.NewMemBudget(c.Budget)
+		ex.SpillDir = c.SpillDir
 		op := ex.JoinOp(exec.NewSource(v.build), v.bCol, exec.NewSource(v.probe), v.pCol, v.opts)
 		got, err := exec.Collect(op)
 		if err != nil {
@@ -388,6 +392,7 @@ func RunCentralized(c Case) error {
 		store := dfs.NewStore(2, 1, c.Seed)
 		ex := exec.New(store, &cluster.Meter{})
 		ex.Mem = exec.NewMemBudget(c.Budget)
+		ex.SpillDir = c.SpillDir
 		ex.DisableColumnar = rowPath
 		op := ex.JoinOp(exec.NewColSource(c.Left), c.LCol, exec.NewColSource(c.Right), c.RCol, opts)
 		got, err := exec.Collect(op)
@@ -414,6 +419,7 @@ func RunCentralized(c Case) error {
 		store := dfs.NewStore(2, 1, c.Seed)
 		ex := exec.New(store, &cluster.Meter{})
 		ex.Mem = exec.NewMemBudget(c.Budget)
+		ex.SpillDir = c.SpillDir
 		op := ex.JoinOp(
 			exec.Where(exec.NewColSource(c.Left), lPreds), c.LCol,
 			exec.Where(exec.NewColSource(c.Right), rPreds), c.RCol, opts)
@@ -498,6 +504,7 @@ func RunDistributed(c Case, nodes int) error {
 		}
 		ex := exec.New(store, &cluster.Meter{})
 		ex.Mem = exec.NewMemBudget(c.Budget)
+		ex.SpillDir = c.SpillDir
 		ex.DisableColumnar = rowPath
 		ex.EnableNodes(1)
 		runner := planner.NewRunner(ex, cluster.Default())

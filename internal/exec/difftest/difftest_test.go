@@ -19,6 +19,19 @@ var (
 	soakTime = flag.Duration("soak", 30*time.Second, "soak duration with -long")
 )
 
+// inTemp gives a case its own spill directory, so budgeted runs never
+// write into the shared OS temp dir that other packages' tests inspect.
+func inTemp(t testing.TB, c Case) Case {
+	c.SpillDir = t.TempDir()
+	return c
+}
+
+// specInTemp is inTemp for n-way cases.
+func specInTemp(t testing.TB, c SpecCase) SpecCase {
+	c.SpillDir = t.TempDir()
+	return c
+}
+
 // TestQuickCentralized replays a fixed band of seeds through every
 // centralized join path. The band is wide enough that generation
 // covers every distribution, shape, budget class, and estimate-error
@@ -38,7 +51,7 @@ func TestQuickCentralized(t *testing.T) {
 		if c.EstFactor != 0 && c.EstFactor != 1 {
 			wrongEst++
 		}
-		if err := RunCentralized(c); err != nil {
+		if err := RunCentralized(inTemp(t, c)); err != nil {
 			t.Error(err)
 		}
 	}
@@ -67,7 +80,7 @@ func TestQuickDistributed(t *testing.T) {
 		nodes := nodes
 		t.Run(map[int]string{1: "nodes=1", 4: "nodes=4", 8: "nodes=8"}[nodes], func(t *testing.T) {
 			for seed := int64(100); seed <= 112; seed++ {
-				if err := RunDistributed(Generate(seed), nodes); err != nil {
+				if err := RunDistributed(inTemp(t, Generate(seed)), nodes); err != nil {
 					t.Error(err)
 				}
 			}
@@ -112,7 +125,7 @@ func TestCraftedEdges(t *testing.T) {
 			c.Left, c.Right = tc.left, tc.right
 			c.LCol, c.RCol = 0, 0
 			c.Budget = tc.budget
-			if err := RunCentralized(c); err != nil {
+			if err := RunCentralized(inTemp(t, c)); err != nil {
 				t.Error(err)
 			}
 		})
@@ -132,7 +145,7 @@ func TestNullKeysProduceNothing(t *testing.T) {
 	}
 	c := Generate(1)
 	c.Left, c.Right, c.LCol, c.RCol, c.Budget = rows, rows, 0, 0, 64
-	if err := RunCentralized(c); err != nil {
+	if err := RunCentralized(inTemp(t, c)); err != nil {
 		t.Error(err)
 	}
 }
@@ -149,16 +162,16 @@ func TestSoak(t *testing.T) {
 	n := 0
 	for seed := int64(10_000); time.Now().Before(deadline); seed++ {
 		c := Generate(seed)
-		if err := RunCentralized(c); err != nil {
+		if err := RunCentralized(inTemp(t, c)); err != nil {
 			t.Fatal(err)
 		}
 		if seed%5 == 0 {
-			if err := RunDistributed(c, nodes[int(seed/5)%len(nodes)]); err != nil {
+			if err := RunDistributed(inTemp(t, c), nodes[int(seed/5)%len(nodes)]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if seed%7 == 0 {
-			if err := RunSpecCase(GenSpecCase(seed), nodes[int(seed/7)%len(nodes)]); err != nil {
+			if err := RunSpecCase(specInTemp(t, GenSpecCase(seed)), nodes[int(seed/7)%len(nodes)]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -175,7 +188,7 @@ func FuzzJoinDifferential(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if err := RunCentralized(Generate(seed)); err != nil {
+		if err := RunCentralized(inTemp(t, Generate(seed))); err != nil {
 			t.Error(err)
 		}
 	})

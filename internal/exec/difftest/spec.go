@@ -49,6 +49,9 @@ type SpecCase struct {
 	// Budget is the session/serve memory budget in bytes (0 =
 	// unlimited); the acceptance matrix overrides it per run.
 	Budget int64
+	// SpillDir is where budgeted runs put their run files ("" = the OS
+	// temp dir). Tests give each case its own directory.
+	SpillDir string
 }
 
 func (c SpecCase) String() string {
@@ -402,6 +405,7 @@ func RunSpecCase(c SpecCase, nodes int) error {
 	s := session.New(store, session.Config{
 		Optimizer:   optimizer.Config{Mode: optimizer.ModeStatic, WindowSize: 4, Seed: c.Seed},
 		MemBudget:   c.Budget,
+		SpillDir:    c.SpillDir,
 		Distributed: nodes > 1,
 	})
 	q, err := session.FromSpec(cat, c.Spec)
@@ -433,6 +437,7 @@ func RunSpecCase(c SpecCase, nodes int) error {
 	svc := serve.New(store2, serve.Config{
 		Optimizer:   optimizer.Config{Mode: optimizer.ModeStatic, WindowSize: 4, Seed: c.Seed},
 		MemBudget:   servePool,
+		SpillDir:    c.SpillDir,
 		Distributed: nodes > 1,
 	})
 	q2, err := session.FromSpec(cat2, c.Spec)

@@ -98,7 +98,7 @@ func TestSpecAcceptance(t *testing.T) {
 			c := base
 			c.Budget = budget
 			t.Run(fmt.Sprintf("budget=%d/nodes=%d", budget, nodes), func(t *testing.T) {
-				if err := RunSpecCase(c, nodes); err != nil {
+				if err := RunSpecCase(specInTemp(t, c), nodes); err != nil {
 					t.Error(err)
 				}
 			})
@@ -133,7 +133,7 @@ func TestSpecQuick(t *testing.T) {
 		if len(c.Spec.Joins) > len(c.Tables)-1 {
 			extraEdge++
 		}
-		if err := RunSpecCase(c, 1); err != nil {
+		if err := RunSpecCase(specInTemp(t, c), 1); err != nil {
 			t.Error(err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestSpecQuick(t *testing.T) {
 // lowered over a multi-node store.
 func TestSpecQuickDistributed(t *testing.T) {
 	for seed := int64(300); seed <= 310; seed++ {
-		if err := RunSpecCase(GenSpecCase(seed), 4); err != nil {
+		if err := RunSpecCase(specInTemp(t, GenSpecCase(seed)), 4); err != nil {
 			t.Error(err)
 		}
 	}
@@ -164,7 +164,7 @@ func FuzzSpecDifferential(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if err := RunSpecCase(GenSpecCase(seed), 1); err != nil {
+		if err := RunSpecCase(specInTemp(t, GenSpecCase(seed)), 1); err != nil {
 			t.Error(err)
 		}
 	})

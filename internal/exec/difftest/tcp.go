@@ -81,6 +81,7 @@ func RunSpecCaseTCP(c SpecCase, dataset string, nodes, workers int) error {
 	s := session.New(store, session.Config{
 		Optimizer: optimizer.Config{Mode: optimizer.ModeStatic, WindowSize: 4, Seed: c.Seed},
 		MemBudget: c.Budget,
+		SpillDir:  c.SpillDir,
 		Net:       cl,
 	})
 	q, err := session.FromSpec(cat, c.Spec)
@@ -104,6 +105,7 @@ func RunSpecCaseTCP(c SpecCase, dataset string, nodes, workers int) error {
 	sim := session.New(store2, session.Config{
 		Optimizer:   optimizer.Config{Mode: optimizer.ModeStatic, WindowSize: 4, Seed: c.Seed},
 		MemBudget:   c.Budget,
+		SpillDir:    c.SpillDir,
 		Distributed: nodes > 1,
 	})
 	q2, err := session.FromSpec(cat2, c.Spec)

@@ -26,7 +26,7 @@ func TestSpecTCPQuick(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		c := GenSpecCase(seed)
 		for _, nodes := range []int{1, 4} {
-			if err := RunSpecCaseTCP(c, SpecDatasetName, nodes, nodes); err != nil {
+			if err := RunSpecCaseTCP(specInTemp(t, c), SpecDatasetName, nodes, nodes); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -39,10 +39,10 @@ func TestSpecTCPQuick(t *testing.T) {
 func TestSpecTCPAssignment(t *testing.T) {
 	defer exec.VerifyNoLeaks(t)
 	c := GenSpecCase(3)
-	if err := RunSpecCaseTCP(c, SpecDatasetName, 8, 3); err != nil {
+	if err := RunSpecCaseTCP(specInTemp(t, c), SpecDatasetName, 8, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunSpecCaseTCP(c, SpecDatasetName, 2, 5); err != nil {
+	if err := RunSpecCaseTCP(specInTemp(t, c), SpecDatasetName, 2, 5); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +58,7 @@ func TestSpecTCPFull(t *testing.T) {
 		c := GenSpecCase(seed)
 		for _, nodes := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("seed=%d/nodes=%d", seed, nodes), func(t *testing.T) {
-				if err := RunSpecCaseTCP(c, SpecDatasetName, nodes, nodes); err != nil {
+				if err := RunSpecCaseTCP(specInTemp(t, c), SpecDatasetName, nodes, nodes); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -35,13 +35,13 @@ const DefaultBatchSize = 1024
 // A batch received from Next is owned by the caller until it calls
 // Release; the rows are immutable and must not be mutated.
 //
-// Rows come in two lifetimes, reported by OwnsRows: view rows (scans,
-// sources) reference storage that outlives the batch, while owned rows
-// (join outputs) are carved from the batch's recycled value arena and
-// die at Release. Consumers that retain rows past Release must copy
-// owned rows first — Collect does. This is what lets a streaming join
-// produce zero garbage per row: the output arena cycles through the
-// batch pool instead of through the garbage collector.
+// Rows come in two lifetimes, reported by OwnsRows: view rows (row-path
+// scans, sources) reference storage that outlives the batch, while
+// owned rows (join outputs) are carved from the batch's recycled value
+// arena and die at Release. Consumers that retain rows past Release
+// must copy owned rows first — Collect does. This is what lets a
+// streaming join produce zero garbage per row: the output arena cycles
+// through the batch pool instead of through the garbage collector.
 type Batch struct {
 	rows []tuple.Tuple
 	// vals is the batch-owned value arena AppendConcat carves output
@@ -51,9 +51,13 @@ type Batch struct {
 	// bitmaps, selection vector — see tuple.Columns), live while colsOn
 	// is set. Columnar batches keep rows empty until a consumer asks for
 	// the row view; Rows() then materializes once and flips colsOn off.
-	// The Columns value is retained across pool cycles so its vectors
-	// recycle like the row arena does.
+	// cols points at own for batches that fill their own vectors, or at
+	// win for view batches. own is retained across pool cycles so its
+	// vectors recycle like the row arena does; win's aliased headers are
+	// dropped at Release (see NewViewBatch).
 	cols   *tuple.Columns
+	own    *tuple.Columns
+	win    *tuple.Columns
 	colsOn bool
 	// pooled marks batches whose backing array the pool owns. Batches
 	// that alias caller-provided slices (Source views) are never
@@ -124,12 +128,12 @@ func (b *Batch) Append(t tuple.Tuple) {
 	b.rows = append(b.rows, t)
 }
 
-// AppendColRow adds one row to a columnar batch's vectors — the
-// transpose step scans and columnar sources use. Mirroring Append's
-// rule for row batches, growing the vectors past the standard batch
-// capacity un-pools the batch so the pool never accumulates oversized
-// vector storage (the columnar pool-poisoning defense; string payloads
-// are shared headers, so vectors never balloon on payload bytes).
+// AppendColRow adds one row to a columnar batch's vectors. Mirroring
+// Append's rule for row batches, growing the vectors past the standard
+// batch capacity un-pools the batch so the pool never accumulates
+// oversized vector storage (the columnar pool-poisoning defense; string
+// payloads are shared headers, so vectors never balloon on payload
+// bytes).
 func (b *Batch) AppendColRow(t tuple.Tuple) {
 	if b.pooled && b.cols.FullLen() >= DefaultBatchSize {
 		b.pooled = false
@@ -160,9 +164,9 @@ func (b *Batch) AppendColGather(src *tuple.Columns, idxs []int32) {
 	b.cols.AddRows(len(idxs))
 }
 
-// AppendColRows bulk-transposes rows into a columnar batch — the scan
-// path's block-at-a-time form of AppendColRow, with the same un-pool
-// rule for growth past the standard capacity.
+// AppendColRows bulk-transposes rows into a columnar batch — ColSource's
+// batch-at-a-time form of AppendColRow, with the same un-pool rule for
+// growth past the standard capacity.
 func (b *Batch) AppendColRows(rows []tuple.Tuple) {
 	if b.pooled && b.cols.FullLen()+len(rows) > DefaultBatchSize {
 		b.pooled = false
@@ -249,11 +253,32 @@ func NewColBatch(ncols int) *Batch {
 	b := batchPool.Get().(*Batch)
 	b.rows = b.rows[:0]
 	b.owned = true
-	if b.cols == nil {
-		b.cols = tuple.NewColumns(ncols)
+	if b.own == nil {
+		b.own = tuple.NewColumns(ncols)
 	} else {
-		b.cols.Reset(ncols)
+		b.own.Reset(ncols)
 	}
+	b.cols = b.own
+	b.colsOn = true
+	return b
+}
+
+// NewViewBatch returns a pooled columnar batch that is a zero-copy
+// window onto physical rows [lo, hi) of img (see tuple.Columns.View) —
+// how scans hand out a block's sealed image. lo must be a multiple of
+// 64. The batch owns only its selection vector: consumers narrow it
+// freely, but must treat the vectors as read-only, as with any batch
+// they did not fill. Release drops the aliased vector headers instead
+// of recycling them.
+func NewViewBatch(img *tuple.Columns, lo, hi int) *Batch {
+	b := batchPool.Get().(*Batch)
+	b.rows = b.rows[:0]
+	b.owned = true
+	if b.win == nil {
+		b.win = new(tuple.Columns)
+	}
+	b.win.View(img, lo, hi)
+	b.cols = b.win
 	b.colsOn = true
 	return b
 }
@@ -268,6 +293,9 @@ func (b *Batch) Release() {
 	if b.pooled {
 		b.vals = b.vals[:0]
 		b.colsOn = false
+		if b.win != nil {
+			b.win.DropView()
+		}
 		batchPool.Put(b)
 	}
 }
@@ -399,10 +427,9 @@ func (s *Source) Next() (*Batch, error) {
 func (s *Source) Close() error { return nil }
 
 // ColSource adapts an in-memory row slice into a columnar Operator:
-// each batch is a fresh transpose of up to DefaultBatchSize rows — the
-// in-memory analogue of the columnar scan path. Tests and the
-// differential harness use it to drive the vectorized operators with
-// columnar inputs directly.
+// each batch is a fresh transpose of up to DefaultBatchSize rows. Tests
+// and the differential harness use it to drive the vectorized operators
+// with columnar inputs directly.
 type ColSource struct {
 	views [][]tuple.Tuple
 	pos   int
@@ -524,7 +551,6 @@ func (s *scanOp) worker() {
 	if n < 1 {
 		n = 1
 	}
-	var match []tuple.Tuple // per-worker scratch for predicate survivors
 	for {
 		if cerr := s.e.ctxErr(); cerr != nil {
 			s.setErr(cerr)
@@ -544,45 +570,24 @@ func (s *scanOp) worker() {
 			continue // vanished (concurrent repartition): rows moved elsewhere
 		}
 		s.e.Meter.AddScan(blk.Len(), local)
-		if !s.e.DisableColumnar && len(blk.Tuples) > 0 {
-			// Columnar emit: transpose matching rows into typed vectors a
-			// block at a time (Columns.AppendRows hoists kind dispatch out
-			// of the per-value loop). Repeated string payloads dedup
-			// against the previous row in the column arena
-			// (ColVec.appendStr), so runs of TPC-H flags/modes share bytes
-			// across the whole batch.
-			rows := blk.Tuples
-			if len(s.preds) > 0 {
-				match = match[:0]
-				for _, r := range rows {
-					if predicate.MatchesAll(s.preds, r) {
-						match = append(match, r)
+		if !s.e.DisableColumnar && blk.Len() > 0 {
+			// Columnar emit: windows onto the block's image (built by the
+			// first scan, shared by every later one), each narrowed by
+			// the typed selection kernel. No row is copied or boxed.
+			img := blk.Columns()
+			for lo, n := 0, img.FullLen(); lo < n; lo += DefaultBatchSize {
+				b := NewViewBatch(img, lo, min(lo+DefaultBatchSize, n))
+				if len(s.preds) > 0 {
+					cb := b.Cols()
+					cb.Narrow(predicate.SelectCols(s.preds, cb, cb.SelScratch()))
+					if cb.Len() == 0 {
+						b.Release()
+						continue
 					}
 				}
-				rows = match
-			}
-			ncols := len(blk.Tuples[0])
-			b := NewColBatch(ncols)
-			for len(rows) > 0 {
-				take := DefaultBatchSize - b.Len()
-				if take > len(rows) {
-					take = len(rows)
-				}
-				b.AppendColRows(rows[:take])
-				rows = rows[take:]
-				if b.Full() {
-					if !s.send(b) {
-						return
-					}
-					b = NewColBatch(ncols)
-				}
-			}
-			if b.Len() > 0 {
 				if !s.send(b) {
 					return
 				}
-			} else {
-				b.Release()
 			}
 			continue
 		}
@@ -656,9 +661,8 @@ func Where(child Operator, preds []predicate.Predicate) Operator {
 }
 
 type filterOp struct {
-	child   Operator
-	preds   []predicate.Predicate
-	scratch tuple.Tuple
+	child Operator
+	preds []predicate.Predicate
 }
 
 func (f *filterOp) Open() error { return f.child.Open() }
@@ -673,10 +677,7 @@ func (f *filterOp) Next() (*Batch, error) {
 			// Columnar batch: refine the selection vector in place — no
 			// row moves, no new batch. Rejected rows just leave the
 			// selection; downstream operators iterate what survives.
-			cb.FilterSel(func(i int) bool {
-				f.scratch = cb.RowTo(f.scratch, i)
-				return predicate.MatchesAll(f.preds, f.scratch)
-			})
+			cb.Narrow(predicate.SelectCols(f.preds, cb, cb.SelScratch()))
 			if cb.Len() > 0 {
 				return in, nil
 			}

@@ -1,6 +1,11 @@
 package exec
 
 import (
+	"math"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"adaptdb/internal/cluster"
@@ -544,5 +549,142 @@ func TestJoinOverJoinBuildSideOwnedRows(t *testing.T) {
 				t.Fatalf("row %d differs from oracle — owned build rows corrupted", i)
 			}
 		}
+	}
+}
+
+// sortedEncodings returns the rows' binary encodings, sorted — an
+// order-independent, bit-exact fingerprint of a result.
+func sortedEncodings(rows []tuple.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = string(r.AppendBinary(nil))
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestConcurrentScansShareBlockImages(t *testing.T) {
+	// Two scans of a freshly loaded table race to build the same block
+	// images (run under -race); both must return exactly what the row
+	// path returns, and the images must stay equal to the blocks' rows.
+	f := newFixture(t, true)
+	preds := []predicate.Predicate{
+		predicate.NewCmp(2, predicate.LT, value.NewInt(1800)),
+		predicate.NewCmp(1, predicate.NE, value.NewInt(3)),
+	}
+	rowEx := New(f.store, &cluster.Meter{})
+	rowEx.DisableColumnar = true
+	want := sortedEncodings(rowEx.Scan(f.line, preds))
+	var wg sync.WaitGroup
+	got := make([][]tuple.Tuple, 2)
+	errs := make([]error, 2)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = Collect(Where(f.ex.TableScanOp(f.line, preds[:1]), preds[1:]))
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !slices.Equal(sortedEncodings(got[g]), want) {
+			t.Fatalf("scan %d: %d rows differ from the row path's %d", g, len(got[g]), len(want))
+		}
+	}
+	for _, ref := range f.line.AllRefs(nil) {
+		blk, _, err := f.store.GetBlock(ref.Path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := blk.Columns()
+		for i, r := range blk.Tuples {
+			if string(img.AppendRowBinary(nil, i)) != string(r.AppendBinary(nil)) {
+				t.Fatalf("%s row %d: image no longer equals the block", ref.Path, i)
+			}
+		}
+	}
+}
+
+func TestScanEmitsViewsOfBlockImages(t *testing.T) {
+	// A columnar scan hands out windows onto the block image, narrowed
+	// by selection, rather than copies.
+	f := newFixture(t, true)
+	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(1200))}
+	op := f.ex.TableScanOp(f.line, preds)
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	b, err := op.Next()
+	if err != nil || b == nil {
+		t.Fatalf("Next: %v, %v", b, err)
+	}
+	cb := b.Cols()
+	if cb == nil || b.cols != b.win {
+		t.Fatal("scan batch is not a view batch")
+	}
+	if cb.Sel() == nil || cb.Len() >= cb.FullLen() {
+		t.Fatalf("selective scan emitted no selection (len %d of %d)", cb.Len(), cb.FullLen())
+	}
+	b.Release()
+	if b.win.FullLen() != 0 || b.win.NumCols() > 0 && b.win.Col(0).Ints() != nil {
+		t.Fatal("Release kept the view's aliased vectors")
+	}
+}
+
+func TestSelectiveBuildSizedFromActualRows(t *testing.T) {
+	// The planner's build estimate is taken before predicates. A build
+	// that keeps 5% of its estimate must size its buffers and buckets
+	// from the rows that arrive, not from the estimate.
+	const n = 40000
+	input := make([]tuple.Tuple, n)
+	for i := range input {
+		input[i] = tuple.Tuple{value.NewInt(int64(i)), value.NewInt(int64(i % 7)), value.NewFloat(float64(i))}
+	}
+	keep := []predicate.Predicate{predicate.NewCmp(0, predicate.LT, value.NewInt(n/20))}
+	// run opens (builds) the join and reports the sealed build's row
+	// count, bucket slots and key-vector capacity, and the bytes the
+	// build allocated.
+	run := func(est int) (rows, buckets, capacity int, alloc uint64) {
+		ex := New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
+		ex.Workers = 1 // one build worker: the same buffers on every run
+		j := ex.JoinOp(Where(NewColSource(input), keep), 0, NewColSource(nil), 0, JoinOptions{BuildRowsEst: est}).(*hashJoinOp)
+		defer j.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		for _, p := range j.cbuild.parts {
+			buckets += len(p.buckets)
+		}
+		return j.buildRows, buckets, cap(j.cbuild.store.Col(0).Ints()), after.TotalAlloc - before.TotalAlloc
+	}
+	built, buckets, capacity, _ := run(n)
+	// Allocation is the least of three runs each: a batch-pool miss
+	// (the GC empties pools) adds noise, never savings.
+	overEst, exact := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for k := 0; k < 3; k++ {
+		_, _, _, a := run(n)
+		_, _, _, b := run(n / 20)
+		overEst, exact = min(overEst, a), min(exact, b)
+	}
+	if built != n/20 {
+		t.Fatalf("build kept %d rows, want %d", built, n/20)
+	}
+	if buckets > 2*built {
+		t.Errorf("%d buckets for %d build rows: sized from the estimate", buckets, built)
+	}
+	if capacity > 2*built {
+		t.Errorf("build store capacity %d for %d rows", capacity, built)
+	}
+	// A 20x overestimate may not cost more than a little over the
+	// exact-estimate build (same radix fan-out for both).
+	if overEst > exact*3/2 {
+		t.Errorf("build with a 20x estimate allocated %d bytes, exact estimate %d", overEst, exact)
 	}
 }

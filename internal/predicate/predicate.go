@@ -71,8 +71,10 @@ func NewIn(col int, vals ...value.Value) Predicate {
 }
 
 // Matches evaluates the predicate against a tuple.
-func (p Predicate) Matches(t tuple.Tuple) bool {
-	v := t[p.Col]
+func (p Predicate) Matches(t tuple.Tuple) bool { return p.matchValue(t[p.Col]) }
+
+// matchValue evaluates the predicate against one cell of column p.Col.
+func (p Predicate) matchValue(v value.Value) bool {
 	switch p.Op {
 	case EQ:
 		return value.Compare(v, p.Val) == 0

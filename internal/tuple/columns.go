@@ -73,6 +73,9 @@ func (v *ColVec) Str(i int) string { return v.strs[i] }
 // Boxed exposes the mixed-kind fallback storage, nil for typed columns.
 func (v *ColVec) Boxed() []value.Value { return v.boxed }
 
+// Value reconstructs row i as a boxed Value (string headers shared).
+func (v *ColVec) Value(i int) value.Value { return v.value(i) }
+
 // Valid exposes the validity bitmap; nil means every row is valid.
 func (v *ColVec) Valid() []uint64 { return v.valid }
 
@@ -315,33 +318,64 @@ func (v *ColVec) appendAll(src *ColVec) {
 	}
 }
 
-// reset empties the column for reuse, keeping payload capacity. String
-// headers are cleared through the full capacity: the GC scans a backing
-// array's whole allocation, so stale headers in the tail would pin
-// their payloads across pool dwell time.
+// reset empties the column for reuse, keeping payload capacity. The
+// used string headers are cleared: the GC scans a backing array's whole
+// allocation, so stale headers would pin their payloads across pool
+// dwell time. The tail past len is already clear — a vector only ever
+// shrinks here, after this clear, so it never holds a header beyond len.
 func (v *ColVec) reset() {
 	v.kind = value.Null
 	v.n = 0
 	v.ints = v.ints[:0]
 	v.floats = v.floats[:0]
-	if v.strs != nil {
-		v.strs = v.strs[:cap(v.strs)]
-		clear(v.strs)
-		v.strs = v.strs[:0]
-	}
+	clear(v.strs)
+	v.strs = v.strs[:0]
 	v.boxed = nil
 	v.valid = nil
 	v.res = 0
 }
 
+// viewOf points v at rows [lo, hi) of src. Payload slices alias src
+// with their capacity capped at hi, so any append to v reallocates
+// instead of writing into src's spare capacity. lo must be a multiple
+// of 64 so the validity bitmap splits on a word boundary; the bitmap is
+// copied (nulls are rare) with the bits past the window cleared,
+// because noteValid writes the window's last word in place.
+func (v *ColVec) viewOf(src *ColVec, lo, hi int) {
+	*v = ColVec{kind: src.kind, n: hi - lo}
+	if src.boxed != nil {
+		v.boxed = src.boxed[lo:hi:hi]
+		return
+	}
+	switch {
+	case value.IntClass(src.kind):
+		v.ints = src.ints[lo:hi:hi]
+	case src.kind == value.Float:
+		v.floats = src.floats[lo:hi:hi]
+	case src.kind == value.String:
+		v.strs = src.strs[lo:hi:hi]
+	}
+	if src.valid != nil && hi > lo {
+		w := lo >> 6
+		v.valid = append([]uint64(nil), src.valid[w:w+(hi-lo+63)>>6]...)
+		if r := (hi - lo) & 63; r != 0 {
+			v.valid[len(v.valid)-1] &= 1<<uint(r) - 1
+		}
+	}
+}
+
 // Columns is a columnar row set: one ColVec per column plus an optional
 // selection vector. Not safe for concurrent mutation; sealed instances
-// (join build stores) may be read concurrently.
+// (join build stores, block images) may be read concurrently.
 type Columns struct {
 	vecs []ColVec
 	n    int
 	sel  []int32
-	selB []int32 // recycled backing for FilterSel
+	selB []int32 // recycled backing for FilterSel and Narrow
+	// view marks a read-only window onto another set's vectors (see
+	// View). Reset and DropView drop its vector headers rather than
+	// clearing storage the set does not own.
+	view bool
 }
 
 // NewColumns returns an empty columnar row set with ncols columns.
@@ -352,6 +386,7 @@ func NewColumns(ncols int) *Columns {
 // Reset empties the set and re-shapes it to ncols columns, keeping
 // backing capacity.
 func (c *Columns) Reset(ncols int) {
+	c.DropView()
 	if cap(c.vecs) < ncols {
 		c.vecs = append(c.vecs[:cap(c.vecs)], make([]ColVec, ncols-cap(c.vecs))...)
 	}
@@ -361,6 +396,40 @@ func (c *Columns) Reset(ncols int) {
 	}
 	c.n = 0
 	c.sel = nil
+}
+
+// View turns c into a read-only window onto physical rows [lo, hi) of
+// src, with no selection: the zero-copy form scans hand out over a
+// block's sealed image. Row indices in c are relative to lo. lo must be
+// a multiple of 64. The window shares src's payload but can never write
+// it — appends to c reallocate (see ColVec.viewOf) — and rows src
+// appends later stay outside it. c keeps its own selection backing.
+func (c *Columns) View(src *Columns, lo, hi int) {
+	c.DropView()
+	ncols := len(src.vecs)
+	if cap(c.vecs) < ncols {
+		c.vecs = make([]ColVec, ncols)
+	}
+	c.vecs = c.vecs[:ncols]
+	for i := range c.vecs {
+		c.vecs[i].viewOf(&src.vecs[i], lo, hi)
+	}
+	c.n = hi - lo
+	c.sel = nil
+	c.view = true
+}
+
+// DropView releases a view's aliased vector headers (no-op on sets that
+// own their storage), so a recycled window neither pins nor clears the
+// storage it pointed at. The selection backing is kept for reuse.
+func (c *Columns) DropView() {
+	if !c.view {
+		return
+	}
+	clear(c.vecs)
+	c.n = 0
+	c.sel = nil
+	c.view = false
 }
 
 // NumCols returns the column count.
@@ -393,6 +462,26 @@ func (c *Columns) Sel() []int32 { return c.sel }
 
 // SetSel installs a selection vector. The slice is aliased, not copied.
 func (c *Columns) SetSel(sel []int32) { c.sel = sel }
+
+// SelScratch returns the recycled selection backing, emptied, for
+// computing a refined selection (it may alias the current one: writers
+// that trail their reads, like predicate.SelectCols, refine in place).
+func (c *Columns) SelScratch() []int32 { return c.selB[:0] }
+
+// Narrow installs sel — the live rows that survive a filter, in order —
+// as the selection, and keeps its backing for the next SelScratch. An
+// empty sel leaves no live rows: it never reads as "every row live". A
+// set with no selection whose every row survives stays selection-free.
+func (c *Columns) Narrow(sel []int32) {
+	if sel == nil {
+		sel = make([]int32, 0, 1)
+	}
+	c.selB = sel[:0]
+	if c.sel == nil && len(sel) == c.n {
+		return
+	}
+	c.sel = sel
+}
 
 // FilterSel refines the selection in place: keep is called with each
 // live physical row index, and rows it rejects leave the selection.
@@ -438,11 +527,11 @@ func (c *Columns) AppendRow(t Tuple) {
 	c.n++
 }
 
-// AppendRows bulk-transposes row-major tuples into the columns — the
-// scan hot path. Unlike per-row AppendRow, each column is filled by one
-// tight loop with the kind dispatch hoisted out of the per-value work:
-// the common homogeneous column costs one predictable branch and one
-// append per value.
+// AppendRows bulk-transposes row-major tuples into the columns — how a
+// block's image is built. Unlike per-row AppendRow, each column is
+// filled by one tight loop with the kind dispatch hoisted out of the
+// per-value work: the common homogeneous column costs one predictable
+// branch and one append per value.
 func (c *Columns) AppendRows(rows []Tuple) {
 	for ci := range c.vecs {
 		c.vecs[ci].appendColumn(rows, ci)

@@ -336,3 +336,134 @@ func TestMemBytesRowMatchesTuple(t *testing.T) {
 		}
 	}
 }
+
+// encodeAll returns every physical row's binary encoding — a bit-exact
+// snapshot of a Columns (NaN payloads and NULLs included).
+func encodeAll(c *Columns) [][]byte {
+	out := make([][]byte, c.FullLen())
+	for i := range out {
+		out[i] = c.AppendRowBinary(nil, i)
+	}
+	return out
+}
+
+func sameEncoding(t *testing.T, what string, got, want [][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: row %d differs", what, i)
+		}
+	}
+}
+
+func TestViewWindowsRows(t *testing.T) {
+	rows := colRows(300, 7)
+	img := NewColumns(4)
+	img.AppendRows(rows)
+	var v Columns
+	for _, w := range [][2]int{{0, 300}, {64, 200}, {128, 300}, {256, 257}, {0, 64}} {
+		v.View(img, w[0], w[1])
+		if v.FullLen() != w[1]-w[0] || v.Sel() != nil {
+			t.Fatalf("window %v: full=%d sel=%v", w, v.FullLen(), v.Sel())
+		}
+		for i := 0; i < v.FullLen(); i++ {
+			eqRow(t, &v, i, rows[w[0]+i])
+		}
+	}
+	v.DropView()
+	if v.FullLen() != 0 || v.Col(0).Ints() != nil {
+		t.Fatal("DropView kept the aliased vectors")
+	}
+}
+
+func TestAppendToViewLeavesSource(t *testing.T) {
+	// Whatever is appended to a window — same-kind values, NULLs into a
+	// bitmap word it shares with the source, kind changes that demote —
+	// must never reach the source's vectors, nor its spare capacity.
+	rows := colRows(300, 7)
+	img := NewColumns(4)
+	img.Reserve(1024) // spare capacity right behind every window
+	img.AppendRows(rows)
+	before := encodeAll(img)
+	extra := []Tuple{
+		{value.NewInt(1), value.NewFloat(2), value.NewString("x"), value.NewDate(3)},
+		{{}, {}, {}, {}},
+		{value.NewString("mixed"), value.NewInt(7), value.NewFloat(1), value.Value{}},
+	}
+	for _, w := range [][2]int{{0, 300}, {64, 100}, {128, 200}, {0, 0}} {
+		var v Columns
+		v.View(img, w[0], w[1])
+		for _, r := range extra {
+			v.AppendRow(r)
+		}
+		v.AppendRowFrom(img, 5)
+		v.AppendColumns(img)
+		for ci := 0; ci < 4; ci++ {
+			v.AppendColumnGather(ci, img, ci, []int32{0, 1, 2})
+		}
+		v.AddRows(3)
+		sameEncoding(t, "source after appends to a window", encodeAll(img), before)
+		want := append(append([]Tuple{}, rows[w[0]:w[1]]...), extra...)
+		want = append(want, rows[5])
+		want = append(want, rows...)
+		want = append(want, rows[:3]...)
+		for i, r := range want {
+			eqRow(t, &v, i, r)
+		}
+		// Resetting a window drops it rather than clearing the source.
+		v.Reset(4)
+		sameEncoding(t, "source after Reset of a window", encodeAll(img), before)
+	}
+	// Rows the source appends later stay outside an existing window.
+	var v Columns
+	v.View(img, 0, 300)
+	img.AppendRow(extra[1])
+	if v.FullLen() != 300 {
+		t.Fatalf("window grew to %d rows", v.FullLen())
+	}
+	for i := 0; i < 300; i++ {
+		eqRow(t, &v, i, rows[i])
+	}
+}
+
+func TestNarrowEmptyMeansNoRows(t *testing.T) {
+	c := NewColumns(1)
+	c.AppendRows(colRows(10, 0))
+	c.Narrow(c.SelScratch()) // nil backing, zero survivors
+	if c.Sel() == nil || c.Len() != 0 {
+		t.Fatalf("empty Narrow: sel=%v len=%d, want non-nil and 0", c.Sel(), c.Len())
+	}
+	c.Narrow(append(c.SelScratch(), 2, 4))
+	if c.Len() != 2 || c.Sel()[1] != 4 {
+		t.Fatalf("Narrow: sel=%v", c.Sel())
+	}
+	// Every row of a selection-free set surviving keeps it selection-free.
+	d := NewColumns(1)
+	d.AppendRows(colRows(3, 0))
+	d.Narrow([]int32{0, 1, 2})
+	if d.Sel() != nil || d.Len() != 3 {
+		t.Fatalf("all-survivor Narrow: sel=%v len=%d", d.Sel(), d.Len())
+	}
+}
+
+// BenchmarkColumnsReset measures recycling a batch-sized set whose
+// string vector grew once to a large capacity but now fills a few rows
+// per cycle — the pooled-batch pattern reset's clear is sized for.
+func BenchmarkColumnsReset(b *testing.B) {
+	c := NewColumns(2)
+	for i := 0; i < 8192; i++ {
+		c.AppendRow(Tuple{value.NewInt(int64(i)), value.NewString("payload")})
+	}
+	few := colRows(16, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Reset(2)
+		for _, r := range few {
+			c.AppendRow(Tuple{r[0], r[2]})
+		}
+	}
+}
